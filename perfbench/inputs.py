@@ -16,7 +16,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro import FAQQuery, Factor, FactorDelta, Variable, inside_out
 from repro.semiring.aggregates import SemiringAggregate
@@ -26,8 +26,7 @@ CHAIN_VARS = 5
 CHAIN_DOMAIN = 8            # 4 factors x 64 cells
 ZIPF_CLASSES = 32
 ZIPF_S = 1.1
-UPDATE_SHARE = 0.05         # share of arrivals that are factor updates
-UPDATE_EVERY = 10           # closed loops: every 10th request is an update
+UPDATE_SHARE = 0.05         # zipf-mixed: share of requests that are factor updates
 
 
 @dataclass(frozen=True)
@@ -119,42 +118,40 @@ def random_cell_update(rng: random.Random, content: Content) -> Tuple[int, tuple
     return index, cell, round(rng.uniform(0.1, 1.0), 6)
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One open-loop arrival: when it is due and what it carries."""
-
-    due: float                      # seconds after the load starts
-    klass: int
-    version: int                    # content version the request carries
-    update: Tuple[int, tuple, float] | None = None  # set on update arrivals
-
-
-def zipf_schedule(
-    seed: int, seconds: float, rate: float
-) -> Tuple[List[Arrival], List[List[Content]]]:
-    """Poisson arrivals with Zipf class popularity and 5% one-cell updates.
-
-    Returns the arrivals and, per class, every content version the
-    schedule produces (version 0 is the base content).  An update arrival
-    carries the pre-update version; reads after it carry the new one.
-    """
+def zipf_classes(seed: int) -> List[Content]:
+    """The base content of the 32 zipf-mixed chain classes."""
     rng = random.Random(seed)
-    versions = [[chain(rng, f"z{c}_")] for c in range(ZIPF_CLASSES)]
-    weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, ZIPF_CLASSES + 1)]
-    cumulative = list(itertools.accumulate(weights))
-    arrivals: List[Arrival] = []
-    t = rng.expovariate(rate)
-    while t < seconds:
-        klass = bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
-        current = versions[klass][-1]
-        if rng.random() < UPDATE_SHARE:
-            update = random_cell_update(rng, current)
-            arrivals.append(Arrival(t, klass, len(versions[klass]) - 1, update))
-            versions[klass].append(current.updated(*update))
-        else:
-            arrivals.append(Arrival(t, klass, len(versions[klass]) - 1))
-        t += rng.expovariate(rate)
-    return arrivals, versions
+    return [chain(rng, f"z{c}_") for c in range(ZIPF_CLASSES)]
+
+
+class ZipfTraffic:
+    """The zipf-mixed request stream over ``classes``.
+
+    Each request picks a class with Zipf(1.1) popularity.  5% are one-cell
+    updates of the class's current content; requests after an update carry
+    the updated content, so updates chain across versions of content that
+    has already been served.
+    """
+
+    def __init__(self, seed: int, classes: List[Content]) -> None:
+        self.rng = random.Random(seed ^ 0x21FF)
+        self.current = list(classes)
+        self.version = [0] * len(classes)
+        weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, len(classes) + 1)]
+        self.cumulative = list(itertools.accumulate(weights))
+
+    def next(self) -> Tuple[Tuple[int, int], Content, Optional[Tuple[int, tuple, float]]]:
+        """``((class, version), content, update)``: the content the request
+        carries, and for an update the cell it sets (else ``None``)."""
+        rng = self.rng
+        klass = bisect.bisect_left(self.cumulative, rng.random() * self.cumulative[-1])
+        content, key = self.current[klass], (klass, self.version[klass])
+        if rng.random() >= UPDATE_SHARE:
+            return key, content, None
+        update = random_cell_update(rng, content)
+        self.current[klass] = content.updated(*update)
+        self.version[klass] += 1
+        return key, content, update
 
 
 # ---------------------------------------------------------------------- #
@@ -222,13 +219,3 @@ def library_pool(seed: int) -> List[Content]:
     path = (("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"))
     pool.append(_graph_query(rng, "path4-count", "ABCDE", 0, 40, 400, path, lambda r: 1))
     return pool
-
-
-def update_model(seed: int) -> Content:
-    """The grid marginal the library-kernels updates start from.
-
-    Kept apart from the read pool, so the pool's factor objects persist.
-    """
-    rng = random.Random(seed + 7919)
-    return _grid("marginal", "X2_2", grid_factors(rng))
-

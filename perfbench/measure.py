@@ -30,20 +30,21 @@ def tail(values: Sequence[float]) -> Tuple[float, float]:
     return ordered[rank], round(100.0 * share, 2)
 
 
-def windows(values: Sequence[float], size: int) -> List[Sequence[float]]:
-    """Consecutive windows of ``size`` samples (the remainder is dropped);
-    the whole sequence when it holds fewer than two windows."""
-    if len(values) < 2 * size:
-        return [values]
-    return [values[i:i + size] for i in range(0, len(values) - size + 1, size)]
-
-
-def windowed_tail(values: Sequence[float], size: int) -> Tuple[float, float, int]:
-    """``(value, percentile, windows)``: the median over consecutive windows
-    of each window's :func:`tail`, so one burst moves one window only."""
-    parts = windows(values, size)
-    tails = [tail(part) for part in parts]
-    return median([t[0] for t in tails]), tails[0][1], len(parts)
+def windowed_rate(batches: Sequence[Tuple[int, float]], size: int) -> float:
+    """Completions per second: the median over consecutive windows of at
+    least ``size`` completions, each made of whole ``(completed, seconds)``
+    batches.  A remainder short of ``size`` is dropped unless it is all
+    there is."""
+    rates: List[float] = []
+    count, seconds = 0, 0.0
+    for done, spent in batches:
+        count, seconds = count + done, seconds + spent
+        if count >= size:
+            rates.append(count / seconds)
+            count, seconds = 0, 0.0
+    if not rates and seconds:
+        rates.append(count / seconds)
+    return median(rates)
 
 
 def ratio(part: float, whole: float) -> float:
@@ -107,11 +108,7 @@ def host_facts(root: Path, seed: int) -> Dict[str, object]:
     }
 
 
-def summarize(values: List[float], size: int) -> Dict[str, float]:
-    """Sample count, median, windowed tail and the whole-run tail."""
-    value, pct, count = windowed_tail(values, size)
-    whole, whole_pct = tail(values)
-    return {
-        "n": len(values), "p50": median(values), "tail": value, "tail_pct": pct,
-        "windows": count, "whole_tail": whole, "whole_tail_pct": whole_pct,
-    }
+def summarize(values: List[float]) -> Dict[str, float]:
+    """Sample count, median and tail."""
+    value, pct = tail(values)
+    return {"n": len(values), "p50": median(values), "tail": value, "tail_pct": pct}

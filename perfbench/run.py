@@ -3,7 +3,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload fresh-chain --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload fresh-chain --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` serves the workload untraced and prints the end-to-end
 metrics; ``--trace 1`` serves it again with its second half traced and
@@ -30,7 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("fresh-chain", "zipf-mixed", "library-kernels")
-SETUP_REPEATS = 5           # set-ups per run, each in a fresh interpreter
+SETUP_REPEATS = 3           # set-ups per run, each in a fresh interpreter
 OUT = HERE / "out"
 
 def _import_program() -> None:
@@ -56,31 +56,22 @@ def _setup_repeat(workload: str, seed: int) -> float:
     return float(json.loads(reply.stdout.strip().splitlines()[-1])["setup_s"])
 
 
-# Throughput and the update tail are medians over consecutive windows, so a
-# burst of host contention moves one window, not the run's figure; a
-# window's tail is its highest percentile with ten samples beyond it.  The
-# read tail is printed but not gated: over ten runs of fresh-chain on a
-# 2-vCPU shared host its quartile spread was 0.29 (p96 per 250 reads) to
-# 0.38 (whole-run p99) while the median's was 0.08 -- it measured the
-# host's contention more than the program.
-READ_WINDOW = 250           # reads per throughput window
-UPDATE_WINDOW = 100         # updates per tail window: tail = p90
+# Throughput is a median over consecutive windows, so a burst of host
+# contention moves one window, not the run's figure.  The read tail is
+# printed but not gated: over ten runs of fresh-chain on a 2-vCPU shared
+# host its quartile spread was 0.29 (p96 per 250 reads) to 0.38 (whole-run
+# p99) while the median's was 0.08 -- it measured the host's contention
+# more than the program.
+WINDOW = 250                # completed requests per throughput window
 
 
 def end_to_end(run, setup_samples):
-    from measure import median, windowed_tail, windows
+    from measure import median, windowed_rate
 
-    if run.serving_ms:      # closed loop: reads per second of read serving time
-        throughput = median([1e3 * len(w) / sum(w) for w in windows(run.serving_ms, READ_WINDOW)])
-    else:                   # open loop: completions per second of the load
-        completed = len(run.reads) + len(run.traced_reads) + len(run.updates)
-        throughput = completed / run.load_s
     return {
         "setup_s": median(setup_samples),
         "latency_p50_ms": median(run.reads),
-        "throughput_rps": throughput,
-        "update_p50_ms": median(run.updates),
-        "update_tail_ms": windowed_tail(run.updates, UPDATE_WINDOW)[0],
+        "throughput_rps": windowed_rate(run.batches, WINDOW),
         "peak_rss_mb": run.rss.get("peak", 0.0),
     }
 
@@ -116,6 +107,8 @@ def per_layer(run):
         ),
         "incremental.full_runs": s["incremental_full_runs"],
         "incremental.update_server_ms": median(run.update_server_ms),
+        "frontend.update_p50_ms": median(run.updates),
+        "frontend.update_p99_ms": tail(run.updates)[0],
         "mem.client_rss_mb": run.rss.get("client", 0.0),
         "mem.replica_rss_mb": run.rss.get("replicas", 0.0),
         "trace.untraced_p50_ms": median(run.reads),
@@ -149,10 +142,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--setup-repeats", type=int, default=SETUP_REPEATS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     _import_program()
     import measure
@@ -173,15 +165,15 @@ def main(argv=None) -> int:
         setup_samples = [run.setup_s]
     else:
         setup_samples = [run.setup_s] + [
-            _setup_repeat(args.workload, args.seed) for _ in range(args.setup_repeats - 1)
+            _setup_repeat(args.workload, args.seed) for _ in range(SETUP_REPEATS - 1)
         ]
         metrics = end_to_end(run, setup_samples)
     correct = run.mismatches == 0
     facts = measure.host_facts(ROOT, args.seed)
     facts.update(
         workload=args.workload, trace=args.trace, seconds=args.seconds,
-        reads=measure.summarize(run.reads, READ_WINDOW), traced_reads=len(run.traced_reads),
-        updates=measure.summarize(run.updates, UPDATE_WINDOW), attempted=run.attempted,
+        reads=measure.summarize(run.reads), traced_reads=len(run.traced_reads),
+        updates=measure.summarize(run.updates), attempted=run.attempted,
         failed=run.failed, mismatches=run.mismatches,
         error_rate=measure.ratio(run.failed, run.attempted),
         setup_samples=setup_samples, rss_at_requests=run.rss_at,
@@ -192,7 +184,7 @@ def main(argv=None) -> int:
     report(facts, metrics, units, self_ms)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     OUT.mkdir(exist_ok=True)
-    samples = {"reads_ms": run.reads, "updates_ms": run.updates, "serving_ms": run.serving_ms}
+    samples = {"reads_ms": run.reads, "updates_ms": run.updates, "batches": run.batches}
     (OUT / f"{stem}.json").write_text(json.dumps(
         {"facts": facts, "metrics": metrics, "self_ms": self_ms, "samples": samples},
         indent=1, sort_keys=True,
@@ -216,15 +208,15 @@ def report(facts, metrics, units, self_ms) -> None:
         f"commit={facts['commit']} source={facts['source_sha256']}"
     )
     print(
-        f"# reads={reads['n']} updates={updates['n']} (tail p{updates['tail_pct']} "
-        f"x{updates['windows']} windows; whole-run p{updates['whole_tail_pct']} "
-        f"{updates['whole_tail']:.4g} ms) "
-        f"attempted={facts['attempted']} "
+        f"# reads={reads['n']} updates={updates['n']} attempted={facts['attempted']} "
         f"failed={facts['failed']} mismatches={facts['mismatches']} "
         f"rss@{facts['rss_at_requests']} strategies={facts['strategies']}"
     )
     print(f"# error_rate {facts['error_rate']:.6g} ratio (not gated)")
-    print(f"# latency_p{reads['whole_tail_pct']}_ms {reads['whole_tail']:.6g} ms (not gated)")
+    print(f"# latency_p{reads['tail_pct']}_ms {reads['tail']:.6g} ms (not gated)")
+    if updates["n"]:
+        print(f"# update_p50_ms {updates['p50']:.6g} ms (not gated)")
+        print(f"# update_p{updates['tail_pct']}_ms {updates['tail']:.6g} ms (not gated)")
     for name, value in metrics.items():
         print(f"# {name} {value:.6g} {units[name]}")
     for name, value in self_ms.items():

@@ -17,6 +17,8 @@ memoised digests do not leak into the served call).  The layer tree is::
 
 In-process (library-kernels) the served call *is*
 ``PlanServer.execute_request``, so the root is ``serve.server`` itself.
+Replays plan on a private server's cache, so they never count in, or
+change, the served plan cache.
 Spans marked ``probe`` measure a layer that is off the request's path (the
 wire for in-process serving, step lowering for every strategy, a plan and
 an execution the result cache skipped); they never count against their
@@ -107,13 +109,12 @@ class Tracer:
 class LayerProbe:
     """Replays one sampled request layer by layer and keeps its timings.
 
-    ``server`` is the :class:`~repro.serve.server.PlanServer` to replay on:
-    the served one in-process, or a replica-configured one for Frontend
-    workloads.  ``in_process`` selects the layer tree (see the module
-    docstring).
+    ``server`` is a private :class:`~repro.serve.server.PlanServer` to
+    replay on, configured like a replica.  ``in_process`` selects the layer
+    tree (see the module docstring).
     """
 
-    def __init__(self, server, in_process: bool) -> None:
+    def __init__(self, server, in_process: bool = False) -> None:
         self.server = server
         self.in_process = in_process
         self.tracer = Tracer()

@@ -4,19 +4,14 @@
   Every request is a new chain with fresh values, so every content-keyed
   cache misses and every factor ships: content addressing, the wire and
   replica memory do most of the work.
-* ``zipf-mixed`` — open loop, Poisson arrivals at a fixed offered rate into
+* ``zipf-mixed`` — closed loop, four concurrent clients,
   ``Frontend(replicas=nproc-1)``, Zipf popularity over 32 chain classes and
-  5% one-cell factor updates, so admission, coalescing, the replica result
-  cache, incremental views and the epoch gate do the work.
+  5% one-cell factor updates chained across versions, so admission,
+  coalescing, the replica result cache, incremental views and the epoch
+  gate do the work.
 * ``library-kernels`` — closed loop, one client, in-process ``Engine`` with
   ``ServeRequest(coalesce=False)`` over a fixed pool of persisted queries,
   so planner lookups, lowering and the kernels do the work.
-
-``BENCHMARK.json`` gates the two closed loops; ``zipf-mixed`` is run by
-hand (its open-loop tail does not repeat within a run's length).
-
-Each closed loop also sends every 10th request as a one-cell
-``update_factors`` batch, so every workload reports update latency.
 
 A run prepares inputs and their references in batches outside the timed
 section, serves the batch with each request timed, then checks every
@@ -26,6 +21,7 @@ answer with ``Factor.equals`` against its reference.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import random
 import time
@@ -40,8 +36,8 @@ import inputs
 from measure import rss_mb
 from tracing import LayerProbe
 
-BATCH = 32                  # closed loops: requests prepared per batch
-ZIPF_RATE = 100.0           # zipf-mixed offered load, arrivals/s
+BATCH = 32                  # requests prepared, then served, per batch
+CLIENTS = {"fresh-chain": 1, "zipf-mixed": 4, "library-kernels": 1}
 RSS_AT = {"fresh-chain": 1000, "zipf-mixed": 1000, "library-kernels": 300}
 TRACE_EVERY = 2             # traced phase: replay every 2nd read
 
@@ -68,8 +64,7 @@ class Run:
     update_server_ms: List[float] = field(default_factory=list)
     outside_exec_ms: List[float] = field(default_factory=list)
     lateness_ms: List[float] = field(default_factory=list)
-    serving_ms: List[float] = field(default_factory=list)    # closed-loop reads, in order
-    load_s: float = 0.0                                       # open loop
+    batches: List[tuple] = field(default_factory=list)       # (completed, s), untraced
     attempted: int = 0
     failed: int = 0
     mismatches: int = 0
@@ -105,59 +100,38 @@ class Run:
 # ---------------------------------------------------------------------- #
 # set-up
 # ---------------------------------------------------------------------- #
-async def setup_frontend(workload: str, seed: int, warm: List[Any]):
+async def setup_frontend(workload: str, warm: List[Any]):
     """Construct the tier and warm it: replicas forked, each shape planned
-    cold once, base factors shipped, the update path run once."""
+    cold once, base factors shipped."""
     replicas = 1 if workload == "fresh-chain" else max(1, (os.cpu_count() or 1) - 1)
     start = time.perf_counter()
     frontend = Frontend(replicas=replicas)
     for content in warm:
         await frontend.submit(ServeRequest(query=content.build()))
-    update = inputs.random_cell_update(random.Random(seed), warm[0])
-    await frontend.update_factors(
-        ServeRequest(query=warm[0].build()), [(update[0], inputs.delta_for(warm[0], *update))]
-    )
     return frontend, time.perf_counter() - start
 
 
-def setup_engine(pool: List[Any], update_base, probe: Optional[LayerProbe] = None):
-    """Construct the engine and plan every pool shape cold, run each query
-    once so the first execution's lazy work lands in set-up, and run the
-    update path once."""
+def setup_engine(pool: List[Any]):
+    """Construct the engine, plan every pool shape cold and run each query
+    once, so the first execution's lazy work lands in set-up."""
     queries = [content.build() for content in pool]
     start = time.perf_counter()
     engine = Engine()
     for query in queries:
-        planned = time.perf_counter()
-        chosen = engine.plan(query)
-        if probe is not None and not chosen.cache_hit:
-            probe.plan_cold_ms.append((time.perf_counter() - planned) * 1e3)
+        engine.plan(query)
         engine.query(ServeRequest(query=query, coalesce=False))
-    query, update, _ = library_update(update_base, random.Random(0))
-    engine.server.update_factors(ServeRequest(query=query, options=UPDATE_OPTIONS), [update])
     return engine, queries, time.perf_counter() - start
-
-
-# In-process updates pin InsideOut, the incremental view's own algorithm, so
-# planner drift between strategies does not pick the update path.
-UPDATE_OPTIONS = {"strategy": "insideout"}
-
-
-def library_update(base, rng: random.Random):
-    """A one-cell update of the base model: ``(query, (index, delta), content after)``."""
-    change = inputs.random_cell_update(rng, base)
-    return base.build(), (change[0], inputs.delta_for(base, *change)), base.updated(*change)
 
 
 def setup_seconds(workload: str, seed: int) -> float:
     """Set-up time alone (used by the isolated set-up repeats)."""
     if workload == "library-kernels":
-        engine, _, seconds = setup_engine(inputs.library_pool(seed), inputs.update_model(seed))
+        engine, _, seconds = setup_engine(inputs.library_pool(seed))
         engine.close()
         return seconds
 
     async def run() -> float:
-        frontend, seconds = await setup_frontend(workload, seed, _warm_contents(workload, seed))
+        frontend, seconds = await setup_frontend(workload, _warm_contents(workload, seed))
         await frontend.aclose()
         return seconds
 
@@ -167,75 +141,120 @@ def setup_seconds(workload: str, seed: int) -> float:
 def _warm_contents(workload: str, seed: int) -> List[Any]:
     if workload == "fresh-chain":
         return [inputs.chain(random.Random(seed ^ 0x5EED), "x")]
-    _, versions = inputs.zipf_schedule(seed, 0.0, ZIPF_RATE)
-    return [v[0] for v in versions]
+    return inputs.zipf_classes(seed)
+
+
+def _replay_server(warm: List[Any], in_process: bool = False) -> LayerProbe:
+    """A probe on a private, replica-configured server (so the replays
+    touch none of the served caches), with every shape planned cold."""
+    probe = LayerProbe(PlanServer(pool_size=1, cache_results=True), in_process)
+    for content in warm:
+        probe.plan_cold(content.build())
+    return probe
 
 
 # ---------------------------------------------------------------------- #
-# closed loops (fresh-chain, library-kernels)
+# the closed loop
 # ---------------------------------------------------------------------- #
 async def closed_loop(
     run: Run,
     seconds: float,
     trace: bool,
-    prepare: Callable[[int], Item],
+    prepare: Callable[[], Item],
     send: Callable[[Item], Any],
+    served_query: Callable[[Item], Any] = lambda item: None,
 ) -> None:
-    """One client: send, wait for the answer, send the next.
+    """``CLIENTS[run.workload]`` clients each send, wait for the answer and
+    send the next request of the current batch.
 
-    With ``trace`` the first half runs untraced and the second half replays
-    every ``TRACE_EVERY``-th read layer by layer after it completes.
+    With ``trace`` the first half runs untraced; in the second half every
+    ``TRACE_EVERY``-th read of a batch is replayed layer by layer once the
+    batch has been served.
     """
+    clients = CLIENTS[run.workload]
     started = time.perf_counter()
     half = started + seconds / 2
-    count = prepared = 0
+    completed = 0
+    request_ids = itertools.count(1)
     while time.perf_counter() - started < seconds:
-        batch = [prepare(prepared + i) for i in range(BATCH)]
-        prepared += BATCH
+        batch = iter([prepare() for _ in range(BATCH)])
+        traced = trace and time.perf_counter() >= half
         done: List[tuple] = []
-        previous = time.perf_counter()
-        for item in batch:
-            traced = trace and previous >= half
-            sent = time.perf_counter()
-            if not traced:
-                run.lateness_ms.append((sent - previous) * 1e3)
-            run.attempted += 1
-            try:
-                result = await send(item)
-            except ServeError:
-                run.failed += 1
-                previous = time.perf_counter()
-                continue
-            finished = time.perf_counter()
-            if not traced and item.update is None:
-                run.serving_ms.append((finished - sent) * 1e3)
-            done.append((item, result, (finished - sent) * 1e3, traced))
-            count += 1
-            run.checkpoint(count)
-            if traced and item.update is None and count % TRACE_EVERY == 0:
-                run.probe.replay(count, sent, finished, item.content, item.query)
+
+        async def client() -> None:
+            nonlocal completed
             previous = time.perf_counter()
-        for item, result, latency, traced in done:
-            run.served(item, result, latency, traced)
+            for item in batch:
+                sent = time.perf_counter()
+                run.lateness_ms.append((sent - previous) * 1e3)
+                run.attempted += 1
+                try:
+                    result = await send(item)
+                except ServeError:
+                    run.failed += 1
+                else:
+                    finished = time.perf_counter()
+                    done.append((item, result, sent, finished))
+                    completed += 1
+                    run.checkpoint(completed)
+                previous = time.perf_counter()
+
+        begun = time.perf_counter()
+        await asyncio.gather(*(client() for _ in range(clients)))
+        if not traced:
+            run.batches.append((len(done), time.perf_counter() - begun))
+        for index, (item, result, sent, finished) in enumerate(done):
+            run.served(item, result, (finished - sent) * 1e3, traced)
+            if traced and item.update is None and index % TRACE_EVERY == 0:
+                run.probe.replay(
+                    next(request_ids), sent, finished, item.content, served_query(item)
+                )
 
 
 async def fresh_chain(run: Run, seed: int, seconds: float, trace: bool) -> None:
     warm = _warm_contents("fresh-chain", seed)
-    frontend, run.setup_s = await setup_frontend("fresh-chain", seed, warm)
-    server = PlanServer(pool_size=1, cache_results=True) if trace else None
+    frontend, run.setup_s = await setup_frontend("fresh-chain", warm)
     try:
-        rng = random.Random(seed)
         if trace:
-            run.probe = LayerProbe(server, in_process=False)
-            run.probe.plan_cold(warm[0].build())
+            run.probe = _replay_server(warm)
+        rng = random.Random(seed)
 
-        def prepare(index: int) -> Item:
+        def prepare() -> Item:
             content = inputs.chain(rng, "x")
-            if index % inputs.UPDATE_EVERY == inputs.UPDATE_EVERY - 1:
-                change = inputs.random_cell_update(rng, content)
-                delta = (change[0], inputs.delta_for(content, *change))
-                return Item(content, content.build(), inputs.reference(content.updated(*change)), delta)
             return Item(content, content.build(), inputs.reference(content))
+
+        async def send(item: Item):
+            return await frontend.submit(ServeRequest(query=item.query))
+
+        await closed_loop(run, seconds, trace, prepare, send)
+        run.checkpoint(run.attempted, final=True)
+        run.stats = fleet_stats(frontend)
+    finally:
+        await frontend.aclose()
+        if run.probe is not None:
+            run.probe.server.shutdown()
+
+
+async def zipf_mixed(run: Run, seed: int, seconds: float, trace: bool) -> None:
+    classes = _warm_contents("zipf-mixed", seed)
+    frontend, run.setup_s = await setup_frontend("zipf-mixed", classes)
+    try:
+        if trace:
+            run.probe = _replay_server(classes)
+        traffic = inputs.ZipfTraffic(seed, classes)
+        expected: Dict[tuple, Any] = {}
+
+        def reference(key: tuple, content) -> Any:
+            if key not in expected:
+                expected[key] = inputs.reference(content)
+            return expected[key]
+
+        def prepare() -> Item:
+            (klass, version), content, update = traffic.next()
+            if update is None:
+                return Item(content, content.build(), reference((klass, version), content))
+            after = reference((klass, version + 1), content.updated(*update))
+            return Item(content, content.build(), after, (update[0], inputs.delta_for(content, *update)))
 
         async def send(item: Item):
             request = ServeRequest(query=item.query)
@@ -248,126 +267,33 @@ async def fresh_chain(run: Run, seed: int, seconds: float, trace: bool) -> None:
         run.stats = fleet_stats(frontend)
     finally:
         await frontend.aclose()
-        if server is not None:
-            server.shutdown()
+        if run.probe is not None:
+            run.probe.server.shutdown()
 
 
 async def library_kernels(run: Run, seed: int, seconds: float, trace: bool) -> None:
     pool = inputs.library_pool(seed)
     expected = [inputs.reference(content) for content in pool]
-    probe = LayerProbe(None, in_process=True) if trace else None
-    base = inputs.update_model(seed)
-    engine, queries, run.setup_s = setup_engine(pool, base, probe)
+    engine, queries, run.setup_s = setup_engine(pool)
     try:
-        if probe is not None:
-            probe.server = engine.server
-            run.probe = probe
+        if trace:
+            run.probe = _replay_server(pool, in_process=True)
         rng = random.Random(seed)
 
-        def prepare(index: int) -> Item:
-            if index % inputs.UPDATE_EVERY == inputs.UPDATE_EVERY - 1:
-                # Every update starts from the base model (a cold view): a
-                # view fed ~115 chained updates drifts past Factor.equals'
-                # tolerance (tests/test_smoke.py keeps that reproducible).
-                query, update, after = library_update(base, rng)
-                return Item(base, query, inputs.reference(after), update)
+        def prepare() -> Item:
             slot = rng.randrange(len(pool))
             return Item(pool[slot], queries[slot], expected[slot])
 
         async def send(item: Item):
-            if item.update is not None:
-                request = ServeRequest(query=item.query, options=UPDATE_OPTIONS)
-                return engine.server.update_factors(request, [item.update])
             return engine.query(ServeRequest(query=item.query, coalesce=False))
 
-        await closed_loop(run, seconds, trace, prepare, send)
+        await closed_loop(run, seconds, trace, prepare, send, lambda item: item.query)
         run.checkpoint(run.attempted, final=True)
         run.stats = server_stats([engine.stats()])
     finally:
         engine.close()
-
-
-# ---------------------------------------------------------------------- #
-# the open loop (zipf-mixed)
-# ---------------------------------------------------------------------- #
-async def zipf_mixed(run: Run, seed: int, seconds: float, trace: bool) -> None:
-    arrivals, versions = inputs.zipf_schedule(seed, seconds, ZIPF_RATE)
-    expected: Dict[tuple, Any] = {}
-    for klass, contents in enumerate(versions):
-        for version, content in enumerate(contents):
-            expected[(klass, version)] = inputs.reference(content)
-    frontend, run.setup_s = await setup_frontend(
-        "zipf-mixed", seed, [contents[0] for contents in versions]
-    )
-    server = PlanServer(pool_size=1, cache_results=True) if trace else None
-    try:
-        loop = asyncio.get_running_loop()
-        half = seconds / 2
-        traced_reads: List[tuple] = []   # (arrival index, latency ms) to replay
-        completed = 0
-
-        async def one(index: int, item: Item, due: float) -> None:
-            nonlocal completed
-            run.attempted += 1
-            request = ServeRequest(query=item.query)
-            try:
-                if item.update is not None:
-                    result = await frontend.update_factors(request, [item.update])
-                else:
-                    result = await frontend.submit(request)
-            except ServeError:
-                run.failed += 1
-                return
-            latency = (loop.time() - due) * 1e3
-            completed += 1
-            run.checkpoint(completed)
-            # Checked at once, so no answer outlives its request: a growing
-            # heap of kept results would lengthen the collector's pauses.
-            traced = trace and arrivals[index].due >= half
-            run.served(item, result, latency, traced)
-            if traced and item.update is None and index % TRACE_EVERY == 0:
-                traced_reads.append((index, latency))
-
-        def item_for(arrival) -> Item:
-            content = versions[arrival.klass][arrival.version]
-            if arrival.update is None:
-                return Item(content, content.build(), expected[(arrival.klass, arrival.version)])
-            index, cell, value = arrival.update
-            return Item(
-                content, content.build(), expected[(arrival.klass, arrival.version + 1)],
-                (index, inputs.delta_for(content, index, cell, value)),
-            )
-
-        tasks = []
-        start = loop.time() + 0.05
-        for index, arrival in enumerate(arrivals):
-            item = item_for(arrival)      # built while the generator waits
-            due = start + arrival.due
-            delay = due - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            run.lateness_ms.append((loop.time() - due) * 1e3)
-            tasks.append(asyncio.ensure_future(one(index, item, due)))
-            del item
-        await asyncio.gather(*tasks)
-        run.load_s = loop.time() - start
-        run.checkpoint(completed, final=True)
-        run.stats = fleet_stats(frontend)
-        if trace:
-            # Replayed after the load, so tracing never stalls the open loop.
-            run.probe = LayerProbe(server, in_process=False)
-            for contents in versions:
-                run.probe.plan_cold(contents[0].build())
-            for index, latency in traced_reads:
-                arrival = arrivals[index]
-                end = time.perf_counter()
-                run.probe.replay(
-                    index, end - latency / 1e3, end, versions[arrival.klass][arrival.version], None
-                )
-    finally:
-        await frontend.aclose()
-        if server is not None:
-            server.shutdown()
+        if run.probe is not None:
+            run.probe.server.shutdown()
 
 
 # ---------------------------------------------------------------------- #
