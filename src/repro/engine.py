@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Union
 
 from repro.core.query import FAQQuery
-from repro.planner import Plan, PlanCache, plan
+from repro.planner import CostModel, Plan, PlanCache, plan
 from repro.serve.api import ServeRequest, ServeResult
 from repro.serve.frontend import Frontend
 from repro.serve.server import PlanServer
@@ -91,8 +91,9 @@ class Engine:
         Engine(EngineConfig(workers=2))
         Engine(workers=2, plan_cache_size=256)
 
-    The engine owns a private plan cache shared by every path through it,
-    and lazily starts one in-process :class:`PlanServer` for
+    The engine owns a private plan cache (paired with a private cost
+    model) shared by every path through it, and lazily starts one
+    in-process :class:`PlanServer` for
     :meth:`query`/:meth:`batch`/:meth:`submit`.  :meth:`serve` starts a
     replicated tier; the returned :class:`Frontend` is independently
     context-managed.  The fleet parent publishes its warm read-only caches
@@ -105,7 +106,9 @@ class Engine:
     def __init__(self, config: Optional[EngineConfig] = None, **overrides: Any) -> None:
         base = config if config is not None else EngineConfig()
         self.config = replace(base, **overrides) if overrides else base
-        self.cache = PlanCache(maxsize=self.config.plan_cache_size)
+        # A private cost model, like PlanServer's default: planner feedback
+        # calibrates this engine only, not every engine in the process.
+        self.cache = PlanCache(maxsize=self.config.plan_cache_size, cost_model=CostModel())
         self._server: Optional[PlanServer] = None
         self._lock = threading.Lock()
         self._closed = False

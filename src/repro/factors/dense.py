@@ -157,6 +157,17 @@ class DenseFactor:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DenseFactor({self.name}, scope={self.scope}, shape={self.array.shape})"
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        if self._digest is not None:
+            # The digest memo survives the pickle; the array revives
+            # writeable, so re-freeze it.
+            self.freeze()
+
     @property
     def variables(self) -> frozenset:
         """The scope as a frozen set (the hyperedge ``S``)."""
@@ -226,8 +237,12 @@ class DenseFactor:
         return self.array != zero
 
     def pruned(self, semiring: Semiring) -> "DenseFactor":
-        """Zeros are implicit in the dense representation; returns a copy."""
-        return self.copy()
+        """Zeros are implicit in the dense representation; returns a copy.
+
+        A frozen factor is immutable, so it is returned as is (keeping its
+        digest memo).
+        """
+        return self if self.frozen else self.copy()
 
     def is_identically_zero(self, semiring: Semiring) -> bool:
         return not bool(self.nonzero_mask(semiring).any())

@@ -55,9 +55,9 @@ class _FrozenTable(dict):
     setdefault = _frozen_table_write
 
     def __reduce__(self):
-        # Pickle as a plain dict: a factor crossing a process boundary is a
-        # fresh object whose digest memo is recomputed (and re-frozen) on
-        # first use in the receiving process.
+        # Pickle as a plain dict.  A digested Factor carries its digest memo
+        # across the pickle and re-freezes the revived table in
+        # ``Factor.__setstate__``; a bare table is just data.
         return (dict, (dict(self),))
 
 
@@ -120,6 +120,17 @@ class Factor:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Factor({self.name}, scope={self.scope}, size={len(self)})"
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        if self._digest is not None:
+            # The digest memo survives the pickle, so the freeze it
+            # certifies must too: the table revives as a plain dict.
+            self.freeze()
 
     @property
     def variables(self) -> frozenset:
@@ -205,7 +216,13 @@ class Factor:
     # zero handling
     # ------------------------------------------------------------------ #
     def pruned(self, semiring: Semiring) -> "Factor":
-        """Return a copy with explicit zero entries removed."""
+        """Return a copy with explicit zero entries removed.
+
+        A frozen factor without zero entries is returned as is: it is
+        immutable, so sharing it is safe, and it keeps its digest memo.
+        """
+        if self.frozen and not any(map(semiring.is_zero, self.table.values())):
+            return self
         table = {k: v for k, v in self.table.items() if not semiring.is_zero(v)}
         return Factor(self.scope, table, name=self.name)
 

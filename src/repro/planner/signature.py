@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.query import FAQQuery
 
@@ -205,12 +208,16 @@ def bucket_drift(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
 # process (PYTHONHASHSEED), so the digests below are built from an explicit
 # canonical byte encoding instead.
 
-CONTENT_KEY_VERSION = 1
+CONTENT_KEY_VERSION = 2
 """Format version folded into every content digest.
 
-Bump together with :data:`SIGNATURE_VERSION` whenever the canonical byte
-encoding (or what it covers) changes, so digests computed by an old process
-can never alias digests of a new one across a rolling restart.
+Bump whenever a digest's byte encoding (or what it covers) changes, so
+digests computed by an old process can never alias digests of a new one
+across a rolling restart.  :class:`~repro.serve.snapshot.SnapshotStore`
+files are gated on it too: their pickled factors carry digest memos.
+(:data:`SIGNATURE_VERSION` covers the signature *tuples* persisted by plan
+caches, which no digest encoding enters.)  Version 2: sparse tables of int
+keys and int-or-float values digest as NumPy columns (``sparse-cols``).
 """
 
 
@@ -312,12 +319,62 @@ def _compute_factor_digest(factor: Any) -> str:
             str(factor.array.dtype).encode("ascii"),
             factor.array.tobytes(),
         )
+    digest = _column_digest(factor.scope, factor.table)
+    if digest is not None:
+        return digest
     items = sorted(
         (canonical_bytes(key) + b"=" + canonical_bytes(value))
         for key, value in factor.table.items()
     )
     return _digest(
         b"sparse", canonical_bytes(tuple(factor.scope)), b";".join(items)
+    )
+
+
+_INT64 = np.dtype("<i8")
+_COLUMN_VALUE_DTYPES = {int: _INT64, float: np.dtype("<f8")}
+
+
+def _column_digest(scope: Sequence[str], table: Dict[tuple, Any]) -> Optional[str]:
+    """The ``sparse-cols`` digest of a non-empty numeric table, else ``None``.
+
+    Applies when every key component is exactly ``int`` and every value is
+    exactly ``float`` — or every value exactly ``int`` — all within int64.
+    The keys become a little-endian ``<i8`` matrix whose rows are sorted
+    lexicographically (keys are distinct, so the order is canonical) and
+    the values a ``<f8``/``<i8`` column aligned to it; the bytes are hashed
+    with the row count and the value dtype.  Exact type checks keep
+    ``True``/``1``/``1.0`` apart, as the per-cell encoding does, and the
+    distinct tag keeps the two encodings from ever colliding.  ``None``
+    sends every other table (bools, strings, big ints, NumPy scalars,
+    mixed value types) to :func:`canonical_bytes`.
+    """
+    if set(map(type, chain.from_iterable(table))) - {int}:
+        return None
+    value_types = set(map(type, table.values()))
+    if len(value_types) != 1:
+        return None
+    value_dtype = _COLUMN_VALUE_DTYPES.get(value_types.pop())
+    if value_dtype is None:
+        return None
+    rows, arity = len(table), len(scope)
+    try:
+        keys = np.fromiter(chain.from_iterable(table), dtype=_INT64, count=rows * arity)
+        values = np.fromiter(table.values(), dtype=value_dtype, count=rows)
+    except (OverflowError, ValueError):  # an int beyond int64, or a malformed key
+        return None
+    keys = keys.reshape(rows, arity)
+    if arity:
+        order = np.lexsort(keys.T[::-1])
+        keys, values = keys[order], values[order]
+    return _digest(
+        b"sparse-cols",
+        canonical_bytes(tuple(scope)),
+        b"%d" % rows,
+        _INT64.str.encode("ascii"),
+        value_dtype.str.encode("ascii"),
+        keys.tobytes(),
+        values.tobytes(),
     )
 
 

@@ -66,7 +66,7 @@ from typing import Any, Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.query import FAQQuery, Variable
-from repro.planner.signature import factor_digest, query_content_key
+from repro.planner.signature import _CONTENT_KEY_MEMO, factor_digest, query_content_key
 from repro.semiring.aggregates import Aggregate
 from repro.semiring.base import Semiring
 
@@ -165,6 +165,12 @@ def encode_query(query: FAQQuery) -> Tuple[WireQuery, Dict[str, Any]]:
 def decode_query(wire: WireQuery, store: Dict[str, Any]) -> FAQQuery:
     """Rebuild the query from a skeleton and the replica's factor store.
 
+    The rebuilt query keeps the sender's content key, and its factors keep
+    their digest memos (digested factors unpickle frozen, and the query
+    constructor shares frozen factors), so the replica never re-hashes
+    content the frontend already hashed.  The replica trusts the sender's
+    digests either way: its factor store is addressed by them.
+
     Raises ``KeyError`` naming the first missing digest — the replica turns
     that into a ``("need", ...)`` reply rather than failing the request.
     """
@@ -174,7 +180,7 @@ def decode_query(wire: WireQuery, store: Dict[str, Any]) -> FAQQuery:
         if factor is None:
             raise KeyError(digest)
         factors.append(factor)
-    return FAQQuery(
+    query = FAQQuery(
         variables=list(wire.variables),
         free=wire.free,
         aggregates=dict(wire.aggregates),
@@ -182,6 +188,9 @@ def decode_query(wire: WireQuery, store: Dict[str, Any]) -> FAQQuery:
         semiring=wire.semiring,
         name=wire.name,
     )
+    if wire.query_key is not None:
+        _CONTENT_KEY_MEMO[query] = wire.query_key
+    return query
 
 
 def missing_digests(wire: WireQuery, known: set) -> Tuple[str, ...]:

@@ -16,7 +16,8 @@ File format (mirrors the shared-memory segment layout of
     bytes 0..7    magic  b"REPROSN1"  (store kind + layout version)
     bytes 8..15   payload length, little-endian u64
     bytes 16..47  SHA-256 of the payload
-    bytes 48..    pickled payload  {"kind", "version", "sections"}
+    bytes 48..    pickled payload  {"kind", "version", "content_key_version",
+                                    "sections"}
 
 Durability rules:
 
@@ -24,7 +25,10 @@ Durability rules:
   into place, so a crash mid-spill leaves the previous snapshot intact;
 * **checksummed** — the SHA-256 rejects torn or bit-rotted files;
 * **version-tagged** — both the magic and the embedded kind/version tags
-  must match, so a layout change invalidates old files cleanly;
+  must match, so a layout change invalidates old files cleanly; so must
+  :data:`~repro.planner.signature.CONTENT_KEY_VERSION`, because pickled
+  factors carry their digest memos and the sections are keyed on digests
+  — a file written under another digest format loads as a clean miss;
 * **best-effort** — save returns ``False`` and load returns ``None`` on
   any failure (including injected ``snapshot.io`` faults); a snapshot is
   an optimisation, never a correctness requirement.
@@ -41,6 +45,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
+from repro.planner import signature
 
 _MAGIC = b"REPROSN1"
 _LEN_OFFSET = 8
@@ -78,6 +83,7 @@ class SnapshotStore:
             payload = {
                 "kind": SNAPSHOT_KIND,
                 "version": SNAPSHOT_VERSION,
+                "content_key_version": signature.CONTENT_KEY_VERSION,
                 "sections": sections,
             }
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -123,6 +129,7 @@ class SnapshotStore:
                 not isinstance(payload, dict)
                 or payload.get("kind") != SNAPSHOT_KIND
                 or payload.get("version") != SNAPSHOT_VERSION
+                or payload.get("content_key_version") != signature.CONTENT_KEY_VERSION
             ):
                 return None
         except FileNotFoundError:

@@ -100,3 +100,21 @@ def test_engine_serve_overrides_replace_config():
         assert tier.tenant_limit is None
         assert len(tier._set) == 1
     engine.close()
+
+
+def test_engines_calibrate_private_cost_models():
+    """Planner feedback from one Engine moves neither another Engine's
+    calibration nor the process-wide default model's."""
+    from repro.planner.planner import DEFAULT_COST_MODEL
+
+    from test_exec_merged import _chain_family
+
+    default_before = DEFAULT_COST_MODEL.observations
+    with Engine() as first, Engine() as second:
+        assert first.cache.cost_model is not second.cache.cost_model
+        for query in _chain_family("counting")[:2]:
+            first.query(query, strategy="insideout")
+        assert first.cache.cost_model.observations >= 1
+        assert second.cache.cost_model.observations == 0
+        assert second.cache.cost_model.calibration("insideout") == 1.0
+    assert DEFAULT_COST_MODEL.observations == default_before

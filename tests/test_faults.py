@@ -506,6 +506,30 @@ class TestWarmRestart:
         )
         revived.shutdown()
 
+    def test_snapshot_under_another_digest_format_is_a_clean_miss(self, tmp_path, monkeypatch):
+        """Snapshotted factors carry their digest memos, so a file written
+        under another content-key version must restore nothing."""
+        from repro.planner import signature
+
+        monkeypatch.setattr(signature, "CONTENT_KEY_VERSION", 1)
+        store = SnapshotStore(tmp_path)
+        query = _chain_query(name="old-format")
+        server = PlanServer(snapshot_store=store)
+        request = ServeRequest(query=query)
+        server.execute_request(request)
+        server.update_factor(request, 0, FactorDelta(("v0", "v1"), {(0, 0): 9}))
+        assert store.stats()["snapshot_saves"] >= 1
+        server.shutdown()
+
+        monkeypatch.undo()
+        assert signature.CONTENT_KEY_VERSION == 2
+        fresh = SnapshotStore(tmp_path)
+        assert fresh.load("server") is None
+        assert fresh.stats()["snapshot_load_errors"] == 0  # a miss, not a fault
+        revived = PlanServer(snapshot_store=SnapshotStore(tmp_path))
+        assert revived.stats()["snapshot_restores"] == 0
+        revived.shutdown()
+
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):
         store = SnapshotStore(tmp_path)
         query = _chain_query(name="warm-results")

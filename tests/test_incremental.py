@@ -189,6 +189,62 @@ def test_frozen_table_pickles_as_plain_dict():
     assert revived == {(0,): 1}
 
 
+def test_unpickled_digested_factor_stays_frozen():
+    """The digest memo survives a pickle, so the freeze it certifies must
+    too: a revived factor that kept its digest but took writes would serve
+    stale answers from every digest-keyed cache it reaches."""
+    import pickle
+
+    factor = Factor(("a", "b"), {(0, 0): 1.0, (1, 0): 2.0})
+    digest = factor_digest(factor)
+    revived = pickle.loads(pickle.dumps(factor))
+    assert revived._digest == digest
+    assert revived.frozen
+    with pytest.raises(FactorError):
+        revived.table[(0, 0)] = 9.0
+    assert revived.table == factor.table
+    # An undigested factor carries no memo and stays mutable.
+    plain = pickle.loads(pickle.dumps(Factor(("a",), {(0,): 1})))
+    assert plain._digest is None and not plain.frozen
+    plain.table[(1,)] = 2
+
+
+def test_unpickled_digested_dense_factor_stays_frozen():
+    import pickle
+
+    dense = as_dense(Factor(("a",), {(0,): 1.0}), {"a": (0, 1)}, SUM_PRODUCT)
+    digest = factor_digest(dense)
+    revived = pickle.loads(pickle.dumps(dense))
+    assert revived._digest == digest
+    assert revived.frozen
+    with pytest.raises(ValueError):
+        revived.array[0] = 5.0
+    plain = pickle.loads(pickle.dumps(as_dense(Factor(("a",), {(0,): 1.0}), {"a": (0, 1)}, SUM_PRODUCT)))
+    assert not plain.frozen
+
+
+def test_query_shares_frozen_factors_and_copies_the_rest():
+    """A frozen factor is immutable, so the query constructor shares it
+    (keeping its digest memo) unless pruning would drop a zero entry."""
+    variables = [Variable(v, (0, 1)) for v in ("a", "b")]
+
+    def build(factor):
+        return FAQQuery(variables=variables, free=["a"], aggregates={"b": SemiringAggregate.sum()},
+                        factors=[factor], semiring=COUNTING)
+
+    live = Factor(("a", "b"), {(0, 0): 1, (1, 1): 2})
+    assert build(live).factors[0] is not live
+    factor_digest(live)
+    assert build(live).factors[0] is live
+    with_zero = Factor(("a", "b"), {(0, 0): 1, (1, 1): 0}).freeze()
+    pruned = build(with_zero).factors[0]
+    assert pruned is not with_zero and pruned.table == {(0, 0): 1}
+    dense = as_dense(live, {"a": (0, 1), "b": (0, 1)}, COUNTING)
+    assert build(dense).factors[0] is not dense
+    factor_digest(dense)
+    assert build(dense).factors[0] is dense
+
+
 # --------------------------------------------------------------------- #
 # regime selection + equivalence
 # --------------------------------------------------------------------- #
